@@ -320,11 +320,10 @@ func (s *snapshot) refineBounded(q Histogram, i int, abortAbove float64) search.
 	}
 	r := s.dist.DistanceBounded(q, s.vectors[i], abortAbove)
 	return search.Refinement{
-		Dist:      r.Value,
-		Aborted:   r.Aborted,
-		WarmStart: r.WarmStart,
-		Rows:      r.Rows,
-		Cols:      r.Cols,
+		Dist:    r.Value,
+		Aborted: r.Aborted,
+		Rows:    r.Rows,
+		Cols:    r.Cols,
 	}
 }
 
@@ -345,7 +344,6 @@ func (s *snapshot) refineBoundedIntr(q Histogram, i int, abortAbove float64, int
 		Dist:        r.Value,
 		Aborted:     r.Aborted,
 		Interrupted: r.Interrupted,
-		WarmStart:   r.WarmStart,
 		Rows:        r.Rows,
 		Cols:        r.Cols,
 	}

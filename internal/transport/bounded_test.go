@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// solveCold solves p with a fresh solver (empty pool, no warm basis)
+// solveCold solves p with a fresh solver (empty pool, no cached duals)
 // through the bounded kernel at +Inf, i.e. to optimality.
 func solveCold(t *testing.T, p Problem) float64 {
 	t.Helper()
-	s, err := NewSolver(len(p.Supply), len(p.Demand))
+	s, err := NewSolver(p.Cost)
 	if err != nil {
 		t.Fatalf("NewSolver: %v", err)
 	}
-	res, err := s.SolveValueBounded(p, math.Inf(1))
+	res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 	if err != nil {
 		t.Fatalf("SolveValueBounded: %v", err)
 	}
@@ -26,7 +26,7 @@ func solveCold(t *testing.T, p Problem) float64 {
 
 // TestSolveValueBoundedMatchesSolveValue checks the bit-identity
 // contract: at abortAbove = +Inf the bounded kernel — sparsity
-// reduction, warm starts and all — must return exactly the value of
+// reduction, dual cache and all — must return exactly the value of
 // the legacy validating kernel, on dense and sparse instances alike.
 func TestSolveValueBoundedMatchesSolveValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -34,18 +34,18 @@ func TestSolveValueBoundedMatchesSolveValue(t *testing.T) {
 		m := 2 + rng.Intn(10)
 		n := 2 + rng.Intn(10)
 		p := randomProblem(rng, m, n, trial%2 == 0)
-		s, err := NewSolver(m, n)
+		s, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		want, err := s.SolveValue(p)
+		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}
-		// Repeat so later solves re-enter from the warm basis cached by
-		// the earlier ones; every repetition must stay bit-identical.
+		// Repeat so later solves run with the pooled state the earlier
+		// ones left behind; every repetition must stay bit-identical.
 		for rep := 0; rep < 3; rep++ {
-			res, err := s.SolveValueBounded(p, math.Inf(1))
+			res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 			if err != nil {
 				t.Fatalf("SolveValueBounded: %v", err)
 			}
@@ -60,37 +60,33 @@ func TestSolveValueBoundedMatchesSolveValue(t *testing.T) {
 	}
 }
 
-// TestSolveValueBoundedWarmVsCold solves random candidate sequences
-// through one pooled solver (warm starts accumulate) and compares each
-// value bitwise against a cold fresh-solver solve of the same problem.
-// This is the engine's refinement access pattern: one query against a
-// stream of database histograms.
-func TestSolveValueBoundedWarmVsCold(t *testing.T) {
+// TestSolveValueBoundedPooledVsFresh solves random candidate sequences
+// over one cost matrix through one pooled solver (its state and dual
+// cache carry over between solves) and compares each value bitwise
+// against a fresh-solver solve of the same problem. This is the
+// engine's refinement access pattern: one query against a stream of
+// database histograms.
+func TestSolveValueBoundedPooledVsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for seq := 0; seq < 10; seq++ {
 		m := 3 + rng.Intn(8)
 		n := 3 + rng.Intn(8)
-		s, err := NewSolver(m, n)
+		cost := randomProblem(rng, m, n, false).Cost
+		s, err := NewSolver(cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		warmHits := 0
 		for cand := 0; cand < 30; cand++ {
 			p := randomProblem(rng, m, n, cand%3 == 0)
-			res, err := s.SolveValueBounded(p, math.Inf(1))
+			p.Cost = cost
+			res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 			if err != nil {
 				t.Fatalf("SolveValueBounded: %v", err)
 			}
-			if res.WarmStart {
-				warmHits++
+			if fresh := solveCold(t, p); res.Value != fresh {
+				t.Fatalf("seq %d cand %d: pooled %v != fresh %v (diff %g)",
+					seq, cand, res.Value, fresh, res.Value-fresh)
 			}
-			if cold := solveCold(t, p); res.Value != cold {
-				t.Fatalf("seq %d cand %d: warm %v != cold %v (diff %g, warmStart %v)",
-					seq, cand, res.Value, cold, res.Value-cold, res.WarmStart)
-			}
-		}
-		if warmHits == 0 {
-			t.Errorf("seq %d: no warm-start hits over 30 sequential solves", seq)
 		}
 	}
 }
@@ -114,11 +110,11 @@ func TestSolveValueBoundedSparsity(t *testing.T) {
 				cols++
 			}
 		}
-		s, err := NewSolver(m, n)
+		s, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		res, err := s.SolveValueBounded(p, math.Inf(1))
+		res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 		if err != nil {
 			t.Fatalf("SolveValueBounded: %v", err)
 		}
@@ -126,7 +122,7 @@ func TestSolveValueBoundedSparsity(t *testing.T) {
 			t.Fatalf("trial %d: reduced shape %dx%d, want %dx%d",
 				trial, res.Rows, res.Cols, rows, cols)
 		}
-		want, err := s.SolveValue(p)
+		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}
@@ -147,11 +143,11 @@ func TestSolveValueBoundedAbortSoundness(t *testing.T) {
 		m := 2 + rng.Intn(9)
 		n := 2 + rng.Intn(9)
 		p := randomProblem(rng, m, n, trial%2 == 0)
-		s, err := NewSolver(m, n)
+		s, err := NewSolver(p.Cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		opt, err := s.SolveValue(p)
+		opt, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}
@@ -159,7 +155,7 @@ func TestSolveValueBoundedAbortSoundness(t *testing.T) {
 
 		// Threshold at or above the optimum: must run to optimality and
 		// stay bit-identical.
-		res, err := s.SolveValueBounded(p, opt)
+		res, err := s.SolveValueBounded(p.Supply, p.Demand, opt)
 		if err != nil {
 			t.Fatalf("SolveValueBounded(opt): %v", err)
 		}
@@ -174,7 +170,7 @@ func TestSolveValueBoundedAbortSoundness(t *testing.T) {
 		// Threshold well below the optimum: abort is allowed (and
 		// expected for most instances); the certified bound must be
 		// sound either way.
-		lo, err := s.SolveValueBounded(p, 0.5*opt)
+		lo, err := s.SolveValueBounded(p.Supply, p.Demand, 0.5*opt)
 		if err != nil {
 			t.Fatalf("SolveValueBounded(opt/2): %v", err)
 		}
@@ -206,15 +202,15 @@ func TestSolveValueBoundedDegenerate(t *testing.T) {
 		{0.5, 0, 0, 0, 0.5},
 	} {
 		p := Problem{Supply: supply, Demand: demand, Cost: cost}
-		s, err := NewSolver(5, 5)
+		s, err := NewSolver(cost)
 		if err != nil {
 			t.Fatalf("NewSolver: %v", err)
 		}
-		res, err := s.SolveValueBounded(p, math.Inf(1))
+		res, err := s.SolveValueBounded(p.Supply, p.Demand, math.Inf(1))
 		if err != nil {
 			t.Fatalf("SolveValueBounded: %v", err)
 		}
-		want, err := s.SolveValue(p)
+		want, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatalf("SolveValue: %v", err)
 		}

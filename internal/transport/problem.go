@@ -81,15 +81,8 @@ func Validate(p Problem) error {
 		}
 		sumD += d
 	}
-	for i, row := range p.Cost {
-		if len(row) != n {
-			return fmt.Errorf("transport: cost row %d has %d columns, want %d", i, len(row), n)
-		}
-		for j, c := range row {
-			if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-				return fmt.Errorf("transport: invalid cost[%d][%d] = %g", i, j, c)
-			}
-		}
+	if err := validateCost(p.Cost, n); err != nil {
+		return err
 	}
 	scale := math.Max(sumS, sumD)
 	if scale == 0 {
@@ -99,6 +92,22 @@ func Validate(p Problem) error {
 	}
 	if math.Abs(sumS-sumD)/scale > MassTolerance {
 		return fmt.Errorf("transport: unbalanced problem: total supply %g, total demand %g", sumS, sumD)
+	}
+	return nil
+}
+
+// validateCost checks that every row of cost has n columns and that
+// all entries are non-negative and finite.
+func validateCost(cost [][]float64, n int) error {
+	for i, row := range cost {
+		if len(row) != n {
+			return fmt.Errorf("transport: cost row %d has %d columns, want %d", i, len(row), n)
+		}
+		for j, c := range row {
+			if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+				return fmt.Errorf("transport: invalid cost[%d][%d] = %g", i, j, c)
+			}
+		}
 	}
 	return nil
 }

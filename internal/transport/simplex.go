@@ -6,25 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// Initializer selects the rule used to construct the initial basic
-// feasible solution of the transportation simplex.
-type Initializer int
-
-const (
-	// Vogel uses Vogel's approximation method: repeatedly allocate at
-	// the cheapest cell of the row or column with the largest regret
-	// (difference between its two cheapest costs). It typically starts
-	// very close to the optimum and is the default.
-	Vogel Initializer = iota
-	// Northwest uses the northwest-corner rule. It ignores costs but is
-	// the textbook reference rule; tests use it to confirm that the
-	// pivoting machinery reaches the same optimum from a poor start.
-	Northwest
-	// Russell uses Russell's approximation method: allocation at the
-	// cell with the most negative c_ij - max-row-cost - max-column-cost.
-	Russell
-)
-
 // simplexState holds the mutable state of one transportation simplex
 // run. Rows are nodes 0..m-1 and columns are nodes m..m+n-1 of the
 // basis spanning tree.
@@ -61,22 +42,27 @@ type simplexState struct {
 	rowActive, colActive []bool
 	rowMin1, rowMin2     []int32
 	colMin1, colMin2     []int32
+	rowPen, colPen       []float64
+	// ord is the presorted cost order of the owning Solver, nil for
+	// one-shot states. When set, Vogel finds each row's and column's
+	// two cheapest active entries with the cursors rowPos1/rowPos2 and
+	// colPos1/colPos2 (positions in ord, indexed in reduced
+	// coordinates) instead of rescanning the row or column.
+	ord              *costOrder
+	rowPos1, rowPos2 []int32
+	colPos1, colPos2 []int32
 	// uf is the reusable union-find buffer of patchBasis.
 	uf []int32
 
 	// Sparsity-reduction maps between original (capM x capN) and
-	// reduced (m x n) coordinates, rebuilt per bounded solve. rowInv
-	// and colInv hold -1 for stripped zero-mass rows/columns.
+	// reduced (m x n) coordinates, rebuilt per solve (identity on the
+	// dense shape). rowInv and colInv hold -1 for stripped zero-mass
+	// rows/columns.
 	rowMap, colMap []int32
 	rowInv, colInv []int32
 	rsBuf, rdBuf   []float64
 	costBacking    []float64 // lazily allocated reduced cost storage
 	costRows       [][]float64
-	// warm holds the basic cells of the most recent optimal basis in
-	// original coordinates (i*capN + j). Dual feasibility of a basis
-	// depends only on the cost matrix, so it is a principled restart
-	// for any later solve of the same solver.
-	warm []int32
 	// warmV holds the column dual potentials of the most recent optimal
 	// solve in original coordinates. Any dual vector v yields a certified
 	// lower bound on a later solve's optimum after the row repair
@@ -84,16 +70,11 @@ type simplexState struct {
 	// solve abort before any simplex work when the previous optimum's
 	// geometry already prices the new candidate above the threshold.
 	warmV []float64
-	// Leaf-peeling scratch for recomputing tree flows on warm starts.
-	peelRes  []float64
-	peelDeg  []int32
-	peelDone []bool
-	// Double-double residual scratch for the exact-feasibility peel of
-	// the polish phase.
+	// Leaf-peeling and cut-marking scratch of the polish phase, with
+	// the double-double residuals of its exact-feasibility peel.
+	peelDeg              []int32
+	peelDone             []bool
 	peelResHi, peelResLo []float64
-	// peelNeg counts the materially negative flows found by the last
-	// peelFlows pass — how far from primal-feasible the tree was.
-	peelNeg int
 	// Double-double dual potentials for the canonical objective.
 	duHi, duLo []float64
 	dvHi, dvLo []float64
@@ -105,36 +86,39 @@ type cycleCell struct {
 	plus bool
 }
 
-// SolveSimplex solves p with the transportation simplex using the
-// Vogel initializer. See SolveSimplexFrom for details.
+// SolveSimplex solves p with the transportation simplex from a Vogel
+// start. The returned solution carries optimal dual potentials;
+// CheckOptimal can verify it independently. If the pivot count exceeds
+// the iteration budget, an error wrapping ErrIterationLimit is
+// returned.
+//
+// A one-shot solve sees its cost matrix once, so its Vogel start
+// rescans rows and columns rather than sorting them first; a Solver
+// amortizes the sort over all its solves.
 func SolveSimplex(p Problem) (*Solution, error) {
-	return SolveSimplexFrom(p, Vogel)
-}
-
-// SolveSimplexFrom solves p with the transportation simplex starting
-// from the given initializer. The returned solution carries optimal
-// dual potentials; CheckOptimal can verify it independently. If the
-// pivot count exceeds the iteration budget, an error wrapping
-// ErrIterationLimit is returned.
-func SolveSimplexFrom(p Problem, init Initializer) (*Solution, error) {
 	if err := Validate(p); err != nil {
 		return nil, err
 	}
-	m, n := len(p.Supply), len(p.Demand)
-	st := newSimplexState(m, n)
-	iter, err := st.run(p, init)
+	st := newSimplexState(len(p.Supply), len(p.Demand))
+	iter, err := st.run(p)
 	if err != nil {
 		return nil, err
 	}
+	return st.solution(p.Cost, iter), nil
+}
+
+// solution wraps the state's optimal flow and freshly computed duals
+// (views into the state's buffers, not copies) as a Solution.
+func (st *simplexState) solution(cost [][]float64, iter int) *Solution {
 	st.computeDuals()
 	return &Solution{
-		Objective:  objective(p.Cost, st.flow),
+		Objective:  objective(cost, st.flow),
 		Flow:       st.flow,
 		DualU:      st.u,
 		DualV:      st.v,
 		Iterations: iter,
 		Method:     "simplex",
-	}, nil
+	}
 }
 
 // newSimplexState allocates all buffers for solves of capacity shape
@@ -162,6 +146,12 @@ func newSimplexState(m, n int) *simplexState {
 		rowMin2:     make([]int32, m),
 		colMin1:     make([]int32, n),
 		colMin2:     make([]int32, n),
+		rowPen:      make([]float64, m),
+		colPen:      make([]float64, n),
+		rowPos1:     make([]int32, m),
+		rowPos2:     make([]int32, m),
+		colPos1:     make([]int32, n),
+		colPos2:     make([]int32, n),
 		uf:          make([]int32, m+n),
 		rowMap:      make([]int32, m),
 		colMap:      make([]int32, n),
@@ -169,7 +159,6 @@ func newSimplexState(m, n int) *simplexState {
 		colInv:      make([]int32, n),
 		rsBuf:       make([]float64, m),
 		rdBuf:       make([]float64, n),
-		peelRes:     make([]float64, m+n),
 		peelDeg:     make([]int32, m+n),
 		peelDone:    make([]bool, m+n),
 		peelResHi:   make([]float64, m+n),
@@ -223,24 +212,28 @@ func (st *simplexState) computeScale() {
 	}
 }
 
-// run executes one full solve on the (possibly reused) state and
-// returns the pivot count. On return st.flow holds the optimal flow
-// and computeDuals-fresh u/v are available to the caller.
-func (st *simplexState) run(p Problem, init Initializer) (int, error) {
-	st.prepare(len(p.Supply), len(p.Demand))
-	st.cost = p.Cost
-	st.computeScale()
-
-	switch init {
-	case Vogel:
-		st.initVogel(p.Supply, p.Demand)
-	case Northwest:
-		st.initNorthwest(p.Supply, p.Demand)
-	case Russell:
-		st.initRussell(p.Supply, p.Demand)
-	default:
-		return 0, fmt.Errorf("transport: unknown initializer %d", init)
+// loadDense adopts the full m x n shape of cost with identity
+// coordinate maps and records the cost scale.
+func (st *simplexState) loadDense(cost [][]float64, m, n int) {
+	st.prepare(m, n)
+	st.cost = cost
+	for i := 0; i < m; i++ {
+		st.rowMap[i] = int32(i)
+		st.rowInv[i] = int32(i)
 	}
+	for j := 0; j < n; j++ {
+		st.colMap[j] = int32(j)
+		st.colInv[j] = int32(j)
+	}
+	st.computeScale()
+}
+
+// run executes one cold solve of p on the full dense shape of the
+// (possibly reused) state — Vogel start, pivots to optimality — and
+// returns the pivot count. On return st.flow holds the optimal flow.
+func (st *simplexState) run(p Problem) (int, error) {
+	st.loadDense(p.Cost, len(p.Supply), len(p.Demand))
+	st.initVogel(p.Supply, p.Demand)
 	st.patchBasis()
 	iter, _, _, err := st.pivotLoop(p.Supply, p.Demand, math.Inf(1), nil)
 	return iter, err
@@ -338,36 +331,19 @@ func removeNode(list []int32, node int32) []int32 {
 	return list
 }
 
-// initNorthwest builds the initial solution with the northwest-corner
-// rule, producing exactly m+n-1 basic cells (degenerate zeros
-// included).
-func (st *simplexState) initNorthwest(supply, demand []float64) {
-	s := append([]float64(nil), supply...)
-	d := append([]float64(nil), demand...)
-	i, j := 0, 0
-	for i < st.m && j < st.n {
-		q := math.Min(s[i], d[j])
-		st.flow[i][j] = q
-		st.addBasic(i, j)
-		s[i] -= q
-		d[j] -= q
-		if i == st.m-1 && j == st.n-1 {
-			break
-		}
-		// Advance in exactly one direction to keep the basis a tree;
-		// on ties prefer the row unless it is the last row.
-		if s[i] <= d[j] && i < st.m-1 {
-			i++
-		} else {
-			j++
-		}
-	}
-}
-
 // initVogel builds the initial solution with Vogel's approximation
 // method. Each allocation deactivates exactly one row or column, which
 // keeps the allocated cells acyclic; patchBasis completes the spanning
 // tree afterwards if fewer than m+n-1 cells were created.
+//
+// The two cheapest active entries of a row or column are its first two
+// active entries in (cost, index) order. Without presorted orders they
+// are found by a scan (O(n) per refresh). With st.ord they are found by
+// two cursors per row and column that walk the presorted order past
+// stripped and deactivated entries; rows and columns only ever
+// deactivate during one run, so the cursors only move forward and all
+// refreshes together cost O(m·n) per solve. Both refreshes break ties
+// by index, so they pick the same cells and yield identical bases.
 func (st *simplexState) initVogel(supply, demand []float64) {
 	m, n := st.m, st.n
 	s := st.vs[:m]
@@ -385,40 +361,71 @@ func (st *simplexState) initVogel(supply, demand []float64) {
 	activeRows, activeCols := m, n
 
 	// rowMin1/rowMin2 cache the indices of the two cheapest active
-	// columns per row (and vice versa); they are recomputed lazily
-	// when one of the cached entries deactivates.
+	// columns per row (and vice versa), and rowPen/colPen the regret
+	// they imply: -Inf without an active entry (never chosen), +Inf
+	// with only one. All are recomputed lazily when one of the cached
+	// entries deactivates.
 	rowMin1, rowMin2 := st.rowMin1, st.rowMin2
 	colMin1, colMin2 := st.colMin1, st.colMin2
+	rowPen, colPen := st.rowPen, st.colPen
+	if st.ord != nil {
+		clear(st.rowPos1[:m])
+		clear(st.rowPos2[:m])
+		clear(st.colPos1[:n])
+		clear(st.colPos2[:n])
+	}
 	refreshRow := func(i int) {
 		m1, m2 := int32(-1), int32(-1)
 		row := st.cost[i]
-		for j := 0; j < n; j++ {
-			if !colActive[j] {
-				continue
-			}
-			if m1 < 0 || row[j] < row[m1] {
-				m2 = m1
-				m1 = int32(j)
-			} else if m2 < 0 || row[j] < row[m2] {
-				m2 = int32(j)
+		if st.ord != nil {
+			m1, m2 = cursorMins(st.ord.rows[st.rowMap[i]], &st.rowPos1[i], &st.rowPos2[i], st.colInv, colActive)
+		} else {
+			for j := 0; j < n; j++ {
+				if !colActive[j] {
+					continue
+				}
+				if m1 < 0 || row[j] < row[m1] {
+					m2 = m1
+					m1 = int32(j)
+				} else if m2 < 0 || row[j] < row[m2] {
+					m2 = int32(j)
+				}
 			}
 		}
 		rowMin1[i], rowMin2[i] = m1, m2
+		rowPen[i] = math.Inf(-1)
+		if m1 >= 0 {
+			rowPen[i] = math.Inf(1)
+			if m2 >= 0 {
+				rowPen[i] = row[m2] - row[m1]
+			}
+		}
 	}
 	refreshCol := func(j int) {
 		m1, m2 := int32(-1), int32(-1)
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			if m1 < 0 || st.cost[i][j] < st.cost[m1][j] {
-				m2 = m1
-				m1 = int32(i)
-			} else if m2 < 0 || st.cost[i][j] < st.cost[m2][j] {
-				m2 = int32(i)
+		if st.ord != nil {
+			m1, m2 = cursorMins(st.ord.cols[st.colMap[j]], &st.colPos1[j], &st.colPos2[j], st.rowInv, rowActive)
+		} else {
+			for i := 0; i < m; i++ {
+				if !rowActive[i] {
+					continue
+				}
+				if m1 < 0 || st.cost[i][j] < st.cost[m1][j] {
+					m2 = m1
+					m1 = int32(i)
+				} else if m2 < 0 || st.cost[i][j] < st.cost[m2][j] {
+					m2 = int32(i)
+				}
 			}
 		}
 		colMin1[j], colMin2[j] = m1, m2
+		colPen[j] = math.Inf(-1)
+		if m1 >= 0 {
+			colPen[j] = math.Inf(1)
+			if m2 >= 0 {
+				colPen[j] = st.cost[m2][j] - st.cost[m1][j]
+			}
+		}
 	}
 	for i := 0; i < m; i++ {
 		refreshRow(i)
@@ -440,14 +447,7 @@ func (st *simplexState) initVogel(supply, demand []float64) {
 				rowMin2[i] >= 0 && !colActive[rowMin2[i]] {
 				refreshRow(i)
 			}
-			if rowMin1[i] < 0 {
-				continue
-			}
-			p := math.Inf(1)
-			if rowMin2[i] >= 0 {
-				p = st.cost[i][rowMin2[i]] - st.cost[i][rowMin1[i]]
-			}
-			if p > bestPenalty {
+			if p := rowPen[i]; p > bestPenalty {
 				bestPenalty, bestIsRow, bestIdx = p, true, i
 			}
 		}
@@ -459,14 +459,7 @@ func (st *simplexState) initVogel(supply, demand []float64) {
 				colMin2[j] >= 0 && !rowActive[colMin2[j]] {
 				refreshCol(j)
 			}
-			if colMin1[j] < 0 {
-				continue
-			}
-			p := math.Inf(1)
-			if colMin2[j] >= 0 {
-				p = st.cost[colMin2[j]][j] - st.cost[colMin1[j]][j]
-			}
-			if p > bestPenalty {
+			if p := colPen[j]; p > bestPenalty {
 				bestPenalty, bestIsRow, bestIdx = p, false, j
 			}
 		}
@@ -498,6 +491,35 @@ func (st *simplexState) initVogel(supply, demand []float64) {
 			activeCols--
 		}
 	}
+}
+
+// cursorMins advances the cursors pos1 < pos2 along order (original
+// indices in ascending cost) to its first and second live entries and
+// returns their reduced indices, -1 where there is none. An entry is
+// live when inv maps it to a kept index that is still active. Entries
+// never come back to life within one Vogel run, so skipped positions
+// need no revisit.
+func cursorMins(order []int32, pos1, pos2 *int32, inv []int32, active []bool) (m1, m2 int32) {
+	m1 = nextLive(order, pos1, inv, active)
+	if *pos2 <= *pos1 {
+		*pos2 = *pos1 + 1
+	}
+	return m1, nextLive(order, pos2, inv, active)
+}
+
+// nextLive moves *pos forward to the first live entry of order at or
+// after it and returns that entry's reduced index, or -1 (with *pos at
+// or past the end) when none is left.
+func nextLive(order []int32, pos *int32, inv []int32, active []bool) int32 {
+	p := int(*pos)
+	for ; p < len(order); p++ {
+		if k := inv[order[p]]; k >= 0 && active[k] {
+			*pos = int32(p)
+			return k
+		}
+	}
+	*pos = int32(p)
+	return -1
 }
 
 // patchBasis extends the current basic cells to a spanning tree of the
@@ -729,91 +751,4 @@ func (st *simplexState) pivot(ei, ej int) {
 	st.flow[li][lj] = 0
 	st.removeBasic(li, lj)
 	st.addBasic(ei, ej)
-}
-
-// initRussell builds the initial solution with Russell's approximation
-// method: with row potentials ubar_i = max over active j of c_ij and
-// column potentials vbar_j = max over active i, it repeatedly allocates
-// at the active cell with the most negative c_ij - ubar_i - vbar_j.
-// Start quality typically sits between Northwest and Vogel; the method
-// is provided for experimentation and as a third independent witness
-// in the initializer-equivalence tests.
-func (st *simplexState) initRussell(supply, demand []float64) {
-	m, n := st.m, st.n
-	s := st.vs[:m]
-	d := st.vd[:n]
-	copy(s, supply)
-	copy(d, demand)
-	rowActive := st.rowActive[:m]
-	colActive := st.colActive[:n]
-	for i := range rowActive {
-		rowActive[i] = true
-	}
-	for j := range colActive {
-		colActive[j] = true
-	}
-	activeRows, activeCols := m, n
-
-	ubar := make([]float64, m)
-	vbar := make([]float64, n)
-	refresh := func() {
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			ubar[i] = math.Inf(-1)
-			for j := 0; j < n; j++ {
-				if colActive[j] && st.cost[i][j] > ubar[i] {
-					ubar[i] = st.cost[i][j]
-				}
-			}
-		}
-		for j := 0; j < n; j++ {
-			if !colActive[j] {
-				continue
-			}
-			vbar[j] = math.Inf(-1)
-			for i := 0; i < m; i++ {
-				if rowActive[i] && st.cost[i][j] > vbar[j] {
-					vbar[j] = st.cost[i][j]
-				}
-			}
-		}
-	}
-	refresh()
-
-	for activeRows > 0 && activeCols > 0 {
-		bi, bj := -1, -1
-		best := math.Inf(1)
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if !colActive[j] {
-					continue
-				}
-				if delta := st.cost[i][j] - ubar[i] - vbar[j]; delta < best {
-					best = delta
-					bi, bj = i, j
-				}
-			}
-		}
-		if bi < 0 {
-			break
-		}
-		q := math.Min(s[bi], d[bj])
-		st.flow[bi][bj] += q
-		st.addBasic(bi, bj)
-		s[bi] -= q
-		d[bj] -= q
-		if s[bi] <= d[bj] && activeRows > 1 || activeCols == 1 {
-			rowActive[bi] = false
-			activeRows--
-		} else {
-			colActive[bj] = false
-			activeCols--
-		}
-		refresh()
-	}
 }

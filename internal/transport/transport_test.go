@@ -373,13 +373,15 @@ func TestSimplexLargerInstanceAgainstSSP(t *testing.T) {
 
 func TestSolverPooledMatchesUnpooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	s, err := NewSolver(10, 12)
+	cost := randomProblem(rng, 10, 12, false).Cost
+	s, err := NewSolver(cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 60; trial++ {
 		p := randomProblem(rng, 10, 12, trial%2 == 0)
-		got, err := s.SolveValue(p)
+		p.Cost = cost
+		got, err := s.SolveValue(p.Supply, p.Demand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,16 +396,21 @@ func TestSolverPooledMatchesUnpooled(t *testing.T) {
 }
 
 func TestSolverShapeMismatch(t *testing.T) {
-	s, err := NewSolver(3, 3)
+	s, err := NewSolver(manhattanCost(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Problem{Supply: []float64{1, 0}, Demand: []float64{0.5, 0.5}, Cost: [][]float64{{0, 1}, {1, 0}}}
-	if _, err := s.SolveValue(p); err == nil {
+	if _, err := s.SolveValue([]float64{1, 0}, []float64{0.5, 0.5}); err == nil {
 		t.Error("accepted mismatched shape")
 	}
-	if _, err := NewSolver(0, 3); err == nil {
+	if _, err := NewSolver(nil); err == nil {
 		t.Error("accepted zero shape")
+	}
+	if _, err := NewSolver([][]float64{{0, 1}, {1}}); err == nil {
+		t.Error("accepted ragged cost matrix")
+	}
+	if _, err := NewSolver([][]float64{{0, -1}, {1, 0}}); err == nil {
+		t.Error("accepted negative cost")
 	}
 	if m, n := s.Shape(); m != 3 || n != 3 {
 		t.Errorf("Shape = %d, %d", m, n)
@@ -412,7 +419,8 @@ func TestSolverShapeMismatch(t *testing.T) {
 
 func TestSolverConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s, err := NewSolver(8, 8)
+	cost := randomProblem(rng, 8, 8, false).Cost
+	s, err := NewSolver(cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,6 +428,7 @@ func TestSolverConcurrent(t *testing.T) {
 	wants := make([]float64, 16)
 	for i := range problems {
 		problems[i] = randomProblem(rng, 8, 8, false)
+		problems[i].Cost = cost
 		sol, err := SolveSimplex(problems[i])
 		if err != nil {
 			t.Fatal(err)
@@ -435,7 +444,7 @@ func TestSolverConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
 				i := (w*7 + rep) % len(problems)
-				got, err := s.SolveValue(problems[i])
+				got, err := s.SolveValue(problems[i].Supply, problems[i].Demand)
 				if err != nil {
 					errs[w] = err
 					return

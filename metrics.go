@@ -106,10 +106,11 @@ type Metrics struct {
 	Pulled             int64 `json:"pulled"`
 	Refinements        int64 `json:"refinements"`
 	RefinementsSkipped int64 `json:"refinements_skipped"`
-	// RefinesAborted and WarmStartHits are the summed threshold-aware
-	// refinement counters: solves abandoned early on a certified bound,
-	// and solves that re-entered from a cached basis. Both stay zero
-	// under Options.UnboundedRefine.
+	// RefinesAborted is the summed count of threshold-aware solves
+	// abandoned early on a certified bound; it stays zero under
+	// Options.UnboundedRefine. WarmStartHits is always zero: every
+	// refinement starts cold from a Vogel basis, and the field is kept
+	// so existing readers of the counter keep working.
 	RefinesAborted int64 `json:"refines_aborted"`
 	WarmStartHits  int64 `json:"warm_start_hits"`
 	// RefineRows and RefineCols accumulate the reduced (zero-mass bins
@@ -169,7 +170,6 @@ func (em *engineMetrics) observe(kind metricKind, stats *QueryStats) {
 	em.m.Refinements += int64(stats.Refinements)
 	em.m.RefinementsSkipped += int64(stats.RefinementsSkipped)
 	em.m.RefinesAborted += int64(stats.RefinesAborted)
-	em.m.WarmStartHits += int64(stats.WarmStartHits)
 	em.m.RefineRows += stats.RefineRows
 	em.m.RefineCols += stats.RefineCols
 	em.m.FilterTime += stats.FilterTime
@@ -221,7 +221,6 @@ func (em *engineMetrics) observeRangeIDs(st *search.RangeIDsStats) {
 	em.m.Pulled += int64(st.Pulled)
 	em.m.Refinements += int64(st.Refinements)
 	em.m.RefinesAborted += int64(st.RefinesAborted)
-	em.m.WarmStartHits += int64(st.WarmStartHits)
 	em.m.RefineRows += st.RefineRows
 	em.m.RefineCols += st.RefineCols
 }

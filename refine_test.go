@@ -6,7 +6,7 @@ import (
 
 // TestEngineBoundedRefineMatchesUnbounded is the end-to-end bit-identity
 // check of the threshold-aware refinement kernel: engines with early
-// abandon + warm start + sparsity reduction (the default), with the
+// abandon + sparsity reduction (the default), with the
 // legacy unbounded kernel (Options.UnboundedRefine), and with both
 // kernels under parallel refinement must return byte-identical KNN and
 // Range results on the same data.
@@ -96,9 +96,6 @@ func TestEngineBoundedRefineMatchesUnbounded(t *testing.T) {
 	if bm.RefinesAborted == 0 {
 		t.Error("bounded engine never aborted a refinement over the workload")
 	}
-	if bm.WarmStartHits == 0 {
-		t.Error("bounded engine never warm-started a refinement over the workload")
-	}
 	if bm.RefineRows == 0 || bm.RefineCols == 0 {
 		t.Error("bounded engine recorded no reduced shapes")
 	}
@@ -109,9 +106,6 @@ func TestEngineBoundedRefineMatchesUnbounded(t *testing.T) {
 	pm := boundedPar.Metrics()
 	if pm.RefinesAborted == 0 {
 		t.Error("parallel bounded engine never aborted a refinement")
-	}
-	if pm.WarmStartHits == 0 {
-		t.Error("parallel bounded engine never warm-started a refinement")
 	}
 }
 

@@ -728,7 +728,6 @@ func addStats(dst, src *QueryStats) {
 	dst.Refinements += src.Refinements
 	dst.RefinementsSkipped += src.RefinementsSkipped
 	dst.RefinesAborted += src.RefinesAborted
-	dst.WarmStartHits += src.WarmStartHits
 	dst.RefineRows += src.RefineRows
 	dst.RefineCols += src.RefineCols
 	dst.FilterTime += src.FilterTime
